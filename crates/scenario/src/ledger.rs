@@ -16,23 +16,11 @@
 
 use std::path::Path;
 
-use rebudget_sim::checkpoint::fnv1a;
+use rebudget_sim::checkpoint::{f64_hex, fnv1a, hex_list};
 
 use crate::ScenarioError;
 
 const HEADER: &str = "rebudget-ledger v1";
-
-fn f64_hex(v: f64) -> String {
-    format!("{:016x}", v.to_bits())
-}
-
-fn hex_list(values: &[f64]) -> String {
-    values
-        .iter()
-        .map(|&v| f64_hex(v))
-        .collect::<Vec<_>>()
-        .join(" ")
-}
 
 /// Metadata stamped into the ledger header.
 #[derive(Debug, Clone)]

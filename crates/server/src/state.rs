@@ -38,31 +38,11 @@ use rebudget_market::{
     SparseUtilityKind,
 };
 use rebudget_scenario::{valid_prefix, Ledger, LedgerMeta};
-use rebudget_sim::checkpoint::{fnv1a, prev_path, write_atomic};
+use rebudget_sim::checkpoint::{f64_hex, fnv1a, hex_list, parse_f64_hex, prev_path, write_atomic};
 
 use crate::{ServerError, ServerResult};
 
 const SNAPSHOT_HEADER: &str = "rebudget-server-snapshot v1";
-
-fn f64_hex(v: f64) -> String {
-    format!("{:016x}", v.to_bits())
-}
-
-fn hex_list(values: &[f64]) -> String {
-    values
-        .iter()
-        .map(|&v| f64_hex(v))
-        .collect::<Vec<_>>()
-        .join(" ")
-}
-
-fn parse_hex_f64(s: &str) -> Option<f64> {
-    // Fixed-width to keep snapshot lines canonical (encode emits 16).
-    if s.len() != 16 {
-        return None;
-    }
-    u64::from_str_radix(s, 16).ok().map(f64::from_bits)
-}
 
 /// Static configuration of the market the daemon serves.
 #[derive(Debug, Clone)]
@@ -797,7 +777,7 @@ fn decode_snapshot(text: &str, config: &ServerConfig) -> Result<Decoded, String>
             match key {
                 "id" => *id_slot = Some(value.to_string()),
                 "budget" => {
-                    rec.budget = parse_hex_f64(value)
+                    rec.budget = parse_f64_hex(value)
                         .ok_or_else(|| format!("malformed budget '{value}'"))?;
                 }
                 "interests" => {
@@ -808,7 +788,7 @@ fn decode_snapshot(text: &str, config: &ServerConfig) -> Result<Decoded, String>
                         let c: u32 = c
                             .parse()
                             .map_err(|_| format!("malformed interest column '{item}'"))?;
-                        let w = parse_hex_f64(w)
+                        let w = parse_f64_hex(w)
                             .ok_or_else(|| format!("malformed interest weight '{item}'"))?;
                         rec.interests.push((c, w));
                     }
@@ -817,7 +797,7 @@ fn decode_snapshot(text: &str, config: &ServerConfig) -> Result<Decoded, String>
                     let bids: Option<Vec<f64>> = value
                         .split(' ')
                         .filter(|s| !s.is_empty())
-                        .map(parse_hex_f64)
+                        .map(parse_f64_hex)
                         .collect();
                     rec.bids = Some(bids.ok_or_else(|| format!("malformed bids '{value}'"))?);
                 }
@@ -1083,6 +1063,60 @@ mod tests {
         other.capacities.push(8.0);
         let err = decode_snapshot(&text, &other).unwrap_err();
         assert!(err.contains("resources"), "{err}");
+    }
+
+    /// Replaces the 16-digit word after the first `key` with `word` and
+    /// re-seals the text behind `trailer`, so the checksum passes and only
+    /// the f64-hex decoder can reject it.
+    fn swap_and_reseal(text: &str, trailer: &str, key: &str, word: &str) -> String {
+        let mut body = text[..text.rfind(trailer).unwrap()].to_string();
+        let at = body.find(key).unwrap() + key.len();
+        body.replace_range(at..at + 16, word);
+        let sum = fnv1a(body.as_bytes());
+        format!("{body}{trailer}{sum:016x}\n")
+    }
+
+    #[test]
+    fn noncanonical_hex_words_are_rejected_by_checkpoint_and_snapshot() {
+        use rebudget_sim::checkpoint::{CheckpointError, SweepMeta};
+        use rebudget_sim::SweepCheckpoint;
+        // Words `u64::from_str_radix` takes but `f64_hex` never writes.
+        let bad_words = [
+            "0",
+            "1f",
+            "+000000000000000",
+            "00000000000000000",
+            "3FF0000000000000",
+        ];
+        let mut sweep = SweepCheckpoint::new(SweepMeta {
+            category: "cpbn".into(),
+            cores: 8,
+            base_budget: 100.0,
+            normalize: true,
+            steps: vec![0.0, 40.0],
+        });
+        sweep.oracle = Some(7.25);
+        let checkpoint = sweep.render();
+        let dir = temp_dir("hex");
+        let cfg = config(SolverKind::ProportionalResponse);
+        let mut core = ServerCore::open(cfg.clone(), &dir).unwrap();
+        drive(&mut core, 0);
+        let snapshot = std::fs::read_to_string(dir.join("server.snapshot")).unwrap();
+        for word in bad_words {
+            for key in ["base_budget=", "steps=", "value="] {
+                let text = swap_and_reseal(&checkpoint, "[checksum]\nfnv1a=", key, word);
+                let err = SweepCheckpoint::parse(&text).unwrap_err();
+                assert!(
+                    matches!(err, CheckpointError::Format { line, .. } if line > 0),
+                    "{key}{word}: {err:?}"
+                );
+            }
+            for key in ["budget=", "bids="] {
+                let text = swap_and_reseal(&snapshot, "fnv1a=", key, word);
+                let err = decode_snapshot(&text, &cfg).unwrap_err();
+                assert!(err.starts_with("malformed"), "{key}{word}: {err}");
+            }
+        }
     }
 
     #[test]

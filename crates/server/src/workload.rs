@@ -13,15 +13,9 @@
 //! and (sometimes) refreshes its utility mid-life. All attributes
 //! (budget, interest set, weights) are hashed from `(seed, k)` alone.
 
-use crate::proto::Request;
+use rebudget_market::faults::splitmix;
 
-/// SplitMix64 — the workspace's standard cheap deterministic mixer.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
+use crate::proto::Request;
 
 /// A seeded churn schedule over a fixed resource space.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,7 +54,7 @@ impl WorkloadSpec {
     }
 
     fn hash(&self, player: u64, salt: u64) -> u64 {
-        splitmix64(self.seed ^ splitmix64(player) ^ salt.wrapping_mul(0xa076_1d64_78bd_642f))
+        splitmix(self.seed ^ splitmix(player) ^ salt.wrapping_mul(0xa076_1d64_78bd_642f))
     }
 
     /// Tick at which player `k` arrives.

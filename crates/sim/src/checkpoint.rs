@@ -87,8 +87,32 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     hash
 }
 
-fn f64_hex(v: f64) -> String {
+/// Renders an `f64` as the 16 lowercase hex digits of its IEEE-754 bits:
+/// the durable text form of every checkpoint, ledger and server snapshot.
+#[must_use]
+pub fn f64_hex(v: f64) -> String {
     format!("{:016x}", v.to_bits())
+}
+
+/// Space-separated [`f64_hex`] words.
+#[must_use]
+pub fn hex_list(values: &[f64]) -> String {
+    values
+        .iter()
+        .map(|&v| f64_hex(v))
+        .collect::<Vec<_>>()
+        .join(" ")
+}
+
+/// The inverse of [`f64_hex`]. Accepts exactly 16 lowercase hex digits and
+/// nothing else (no sign, no short or long words, no upper case), so every
+/// accepted word re-encodes to itself.
+#[must_use]
+pub fn parse_f64_hex(word: &str) -> Option<f64> {
+    if word.len() != 16 || !word.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f')) {
+        return None;
+    }
+    u64::from_str_radix(word, 16).ok().map(f64::from_bits)
 }
 
 /// Errors from snapshot parsing, validation, and I/O.
@@ -235,12 +259,22 @@ impl Section {
 
     fn parse_f64_bits(&self, key: &str) -> Result<f64> {
         let raw = self.get(key)?;
-        u64::from_str_radix(raw, 16)
-            .map(f64::from_bits)
-            .map_err(|_| CheckpointError::Format {
-                line: self.line,
-                reason: format!("key `{key}` is not a 16-hex-digit f64: `{raw}`"),
-            })
+        parse_f64_hex(raw).ok_or_else(|| self.bad_f64(key, raw))
+    }
+
+    /// Parses a space-separated list of [`f64_hex`] words.
+    fn parse_f64_list(&self, key: &str) -> Result<Vec<f64>> {
+        self.get(key)?
+            .split_whitespace()
+            .map(|word| parse_f64_hex(word).ok_or_else(|| self.bad_f64(key, word)))
+            .collect()
+    }
+
+    fn bad_f64(&self, key: &str, word: &str) -> CheckpointError {
+        CheckpointError::Format {
+            line: self.line,
+            reason: format!("key `{key}` is not a 16-hex-digit f64: `{word}`"),
+        }
     }
 
     fn parse_bool(&self, key: &str) -> Result<bool> {
@@ -790,15 +824,7 @@ impl SimCheckpoint {
                     ),
                 });
             }
-            let alloc_raw = section.get("alloc")?;
-            let mut allocation = Vec::with_capacity(meta.cores * meta.resources);
-            for word in alloc_raw.split_whitespace() {
-                let bits = u64::from_str_radix(word, 16).map_err(|_| CheckpointError::Format {
-                    line: section.line,
-                    reason: format!("bad allocation word `{word}`"),
-                })?;
-                allocation.push(f64::from_bits(bits));
-            }
+            let allocation = section.parse_f64_list("alloc")?;
             if allocation.len() != meta.cores * meta.resources {
                 return Err(CheckpointError::Format {
                     line: section.line,
@@ -994,8 +1020,7 @@ impl SweepCheckpoint {
         body.push_str(&format!("cores={}\n", self.meta.cores));
         body.push_str(&format!("base_budget={}\n", f64_hex(self.meta.base_budget)));
         body.push_str(&format!("normalize={}\n", u8::from(self.meta.normalize)));
-        let words: Vec<String> = self.meta.steps.iter().map(|&s| f64_hex(s)).collect();
-        body.push_str(&format!("steps={}\n", words.join(" ")));
+        body.push_str(&format!("steps={}\n", hex_list(&self.meta.steps)));
         if let Some(oracle) = self.oracle {
             body.push_str("[oracle]\n");
             body.push_str(&format!("value={}\n", f64_hex(oracle)));
@@ -1038,21 +1063,12 @@ impl SweepCheckpoint {
                     line: 0,
                     reason: "missing [meta] section".into(),
                 })?;
-        let steps_raw = meta_section.get("steps")?;
-        let mut steps = Vec::new();
-        for word in steps_raw.split_whitespace() {
-            let bits = u64::from_str_radix(word, 16).map_err(|_| CheckpointError::Format {
-                line: meta_section.line,
-                reason: format!("bad step word `{word}`"),
-            })?;
-            steps.push(f64::from_bits(bits));
-        }
         let meta = SweepMeta {
             category: meta_section.get("category")?.to_string(),
             cores: meta_section.parse("cores")?,
             base_budget: meta_section.parse_f64_bits("base_budget")?,
             normalize: meta_section.parse_bool("normalize")?,
-            steps,
+            steps: meta_section.parse_f64_list("steps")?,
         };
         let oracle = match sections.iter().find(|s| s.name == "oracle") {
             Some(s) => Some(s.parse_f64_bits("value")?),
@@ -1073,16 +1089,10 @@ impl SweepCheckpoint {
                     reason: format!("point index {index} beyond {} steps", points.len()),
                 });
             }
-            let normalized =
-                match section.get("normalized")? {
-                    "none" => None,
-                    word => Some(u64::from_str_radix(word, 16).map(f64::from_bits).map_err(
-                        |_| CheckpointError::Format {
-                            line: section.line,
-                            reason: format!("bad normalized word `{word}`"),
-                        },
-                    )?),
-                };
+            let normalized = match section.get("normalized")? {
+                "none" => None,
+                _ => Some(section.parse_f64_bits("normalized")?),
+            };
             points[index] = Some(SweepPoint {
                 step: section.parse_f64_bits("step")?,
                 efficiency: section.parse_f64_bits("efficiency")?,

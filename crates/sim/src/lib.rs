@@ -23,12 +23,21 @@
 //! * [`monitor`] — phase-2 runtime monitoring: per-core UMON shadow tags
 //!   over synthetic traces produce the miss curve online;
 //! * [`machine`] and [`simulation`] — the 1 ms allocation quantum loop:
-//!   monitor → market → DVFS/partition enforcement → execute → thermals.
+//!   monitor → market → DVFS/partition enforcement → execute → thermals;
+//! * [`dram_sim`] — a bank-level DDR3 event model, kept as the reference
+//!   the closed-form [`dram`] latency is tested against;
+//! * [`checkpoint`] — crash-safe run snapshots, and the one durable-text
+//!   codec every ledger and snapshot in the workspace uses (f64 as 16
+//!   hex digits, FNV-1a, crash-atomic write).
+//!
+//! The critical-path predictor of §4.1.1 needs no module of its own: the
+//! apps' phase model (`rebudget_apps::perf`) already splits each core's
+//! time into a frequency-scaled compute part and a fixed memory part,
+//! which is exactly what the predictor estimates.
 
 pub mod analytic;
 pub mod checkpoint;
 pub mod config;
-pub mod critical_path;
 pub mod dram;
 pub mod dram_sim;
 pub mod groups;

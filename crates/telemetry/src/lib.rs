@@ -112,13 +112,19 @@ pub fn record(event: Event) {
 
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Serializes the tests that flip the process-wide enabled switch.
+    pub(crate) fn switch_gate() -> std::sync::MutexGuard<'static, ()> {
+        static GATE: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        GATE.lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
 
     #[test]
     fn disabled_by_default_and_toggles() {
-        // Other tests may flip the switch concurrently; serialize through
-        // the journal lock by only asserting the local round trip.
+        let _g = switch_gate();
         set_enabled(false);
         assert!(!enabled());
         set_enabled(true);

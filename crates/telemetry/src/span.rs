@@ -135,10 +135,7 @@ mod tests {
     // Span tests share the process-global enabled switch with the rest of
     // the suite; serialise them so concurrent toggles don't interleave.
     fn with_enabled<R>(f: impl FnOnce() -> R) -> R {
-        static GATE: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        let _g = GATE
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let _g = crate::tests::switch_gate();
         crate::set_enabled(true);
         let r = f();
         crate::set_enabled(false);
@@ -147,6 +144,7 @@ mod tests {
 
     #[test]
     fn disabled_spans_are_inert() {
+        let _g = crate::tests::switch_gate();
         crate::set_enabled(false);
         let g = span("nothing");
         assert!(g.path().is_none());
