@@ -11,8 +11,8 @@
 //! per-decision work grows linearly in N per iteration, and the iteration
 //! count stays flat.
 //!
-//! A second arm benchmarks the **first-order sparse solvers**
-//! (`propresp`, `mirror`) on synthetic power-law markets at
+//! A second arm benchmarks the **sparse first-order solver**
+//! (`propresp`) on synthetic power-law markets at
 //! N ∈ {10³, 10⁴, …, max_sparse} with M = 64 resources, reporting the
 //! final residual of every solve in the workspace's unified
 //! relative-excess-demand semantics and writing a machine-readable
@@ -107,7 +107,7 @@ fn main() {
     const SPARSE_RESOURCES: usize = 64;
     println!();
     println!(
-        "# First-order solvers on sparse synthetic markets (M={SPARSE_RESOURCES}, \
+        "# First-order solver on sparse synthetic markets (M={SPARSE_RESOURCES}, \
          power-law degrees, tol {tolerance:e})"
     );
     println!(
@@ -116,51 +116,50 @@ fn main() {
     );
     let mut points: Vec<ScalabilityPoint> = Vec::new();
     let mut over_tolerance = false;
+    let solver = SolverKind::ProportionalResponse;
     let mut n = 1_000usize;
     while n <= max_sparse {
         let market = exit_on_error(SynthSpec::new(n, SPARSE_RESOURCES, 1).generate());
-        for solver in [SolverKind::ProportionalResponse, SolverKind::MirrorDescent] {
-            let mut opts = EquilibriumOptions::large_scale().with_solver(solver);
-            opts.parallel = policy;
-            opts.price_tolerance = tolerance;
-            let threads = policy.resolved_threads(n);
-            let mut iterations = 0u64;
-            let mut residual = f64::NAN;
-            let mut converged = false;
-            let (min_ms, med_ms) = time_ms(repeats, || {
-                let o = exit_on_error(market.solve(&opts));
-                iterations = o.iterations;
-                residual = o.report.residual;
-                converged = o.converged();
-            });
-            println!(
-                "{n:>9} {:>10} {threads:>8} {:>9} {min_ms:>12.2} {med_ms:>12.2} \
-                 {iterations:>7} {residual:>10.2e} {:>5}",
-                market.nnz(),
-                solver.label(),
-                if converged { "yes" } else { "NO" }
+        let mut opts = EquilibriumOptions::large_scale().with_solver(solver);
+        opts.parallel = policy;
+        opts.price_tolerance = tolerance;
+        let threads = policy.resolved_threads(n);
+        let mut iterations = 0u64;
+        let mut residual = f64::NAN;
+        let mut converged = false;
+        let (min_ms, med_ms) = time_ms(repeats, || {
+            let o = exit_on_error(market.solve(&opts));
+            iterations = o.iterations;
+            residual = o.report.residual;
+            converged = o.converged();
+        });
+        println!(
+            "{n:>9} {:>10} {threads:>8} {:>9} {min_ms:>12.2} {med_ms:>12.2} \
+             {iterations:>7} {residual:>10.2e} {:>5}",
+            market.nnz(),
+            solver.label(),
+            if converged { "yes" } else { "NO" }
+        );
+        if residual.is_nan() || residual > tolerance {
+            eprintln!(
+                "error: {} at N={n} finished with residual {residual:e} > tolerance \
+                 {tolerance:e}",
+                solver.label()
             );
-            if residual.is_nan() || residual > tolerance {
-                eprintln!(
-                    "error: {} at N={n} finished with residual {residual:e} > tolerance \
-                     {tolerance:e}",
-                    solver.label()
-                );
-                over_tolerance = true;
-            }
-            points.push(ScalabilityPoint {
-                solver: solver.label().to_string(),
-                players: n,
-                resources: SPARSE_RESOURCES,
-                nnz: market.nnz(),
-                threads,
-                min_ns: (min_ms * 1e6) as u64,
-                median_ns: (med_ms * 1e6) as u64,
-                iterations,
-                residual,
-                converged,
-            });
+            over_tolerance = true;
         }
+        points.push(ScalabilityPoint {
+            solver: solver.label().to_string(),
+            players: n,
+            resources: SPARSE_RESOURCES,
+            nnz: market.nnz(),
+            threads,
+            min_ns: (min_ms * 1e6) as u64,
+            median_ns: (med_ms * 1e6) as u64,
+            iterations,
+            residual,
+            converged,
+        });
         n = n.saturating_mul(10);
     }
     if let Err(e) = write_scalability_json(Path::new(&json_path), tolerance, &points) {

@@ -25,8 +25,9 @@
 //! tail of the first-order dynamics dominates both arms and the warm
 //! advantage vanishes — measured, not assumed; see EXPERIMENTS.md.
 //!
-//! Usage: `server_bench [players] [ticks] [churn_percent] [json] [tol] [min_speedup] [solver]`
-//! (defaults: 10000, 12, 1.0, BENCH_server.json, 1e-4, 2.0, propresp).
+//! Usage: `server_bench [players] [ticks] [churn_percent] [json] [tol] [min_speedup]`
+//! (defaults: 10000, 12, 1.0, BENCH_server.json, 1e-4, 2.0). Both arms
+//! solve with proportional response, the daemon's sparse engine.
 
 use std::path::Path;
 use std::time::Instant;
@@ -130,14 +131,7 @@ fn main() {
         .unwrap_or_else(|| "BENCH_server.json".to_string());
     let tolerance: f64 = rebudget_bench::arg_or(5, 1e-4);
     let min_speedup: f64 = rebudget_bench::arg_or(6, 2.0);
-    let solver = match std::env::args().nth(7).as_deref() {
-        None | Some("propresp") => SolverKind::ProportionalResponse,
-        Some("mirror") => SolverKind::MirrorDescent,
-        Some(other) => {
-            eprintln!("error: unknown solver '{other}' (propresp | mirror)");
-            std::process::exit(1);
-        }
-    };
+    let solver = SolverKind::ProportionalResponse;
 
     let template = exit_on_error(SynthSpec::new(players, RESOURCES, 1).generate());
     let mut opts = EquilibriumOptions::large_scale().with_solver(solver);

@@ -245,7 +245,7 @@ mod tests {
                 converged: true,
             },
             ScalabilityPoint {
-                solver: "mirror".into(),
+                solver: "jacobi".into(),
                 players: 1000,
                 resources: 64,
                 nnz: 8192,

@@ -123,10 +123,9 @@ CATEGORY:   CPBN | CCPP | CPBB | BBNN | BBPN | BBCN (case-insensitive)
 MECHANISM:  equalshare | equalbudget | balanced | rebudget | maxefficiency
 SOLVER:     every market-backed subcommand accepts --solver=NAME selecting
             the equilibrium engine: jacobi (dense best-response, the
-            paper's engine, the default), propresp (first-order
-            proportional response), mirror (first-order entropic mirror
-            descent). synth is sparse-only: it defaults to propresp and
-            rejects jacobi.
+            paper's engine, the default) or propresp (first-order
+            proportional response). synth is sparse-only: it runs
+            propresp and rejects jacobi.
 FAULTS:     comma-separated spec injecting telemetry/solver faults, e.g.
             --faults=noise=0.1,drop=0.05,liars=2 — keys: noise, spike,
             spike-mag, stale, stale-depth, drop, nan, liars, liar-factor,
@@ -483,7 +482,7 @@ fn dispatch(args: &[String], notes: &mut Vec<String>) -> Result<String, CliError
     let solver = match &solver_flag {
         Some(name) => SolverKind::parse(name).ok_or_else(|| {
             err(format!(
-                "unknown solver '{name}' (expected jacobi | propresp | mirror)"
+                "unknown solver '{name}' (expected jacobi | propresp)"
             ))
         })?,
         None => SolverKind::default(),
@@ -824,21 +823,15 @@ fn dispatch(args: &[String], notes: &mut Vec<String>) -> Result<String, CliError
             }
             // Sparse-only path: the dense Jacobi engine would need an
             // n×m bid matrix, which defeats the point at 10⁶ players.
-            let solver = match solver {
-                SolverKind::Jacobi if solver_flag.is_some() => {
-                    return Err(err(
-                        "synth markets are sparse; pick --solver=propresp or --solver=mirror",
-                    ));
-                }
-                SolverKind::Jacobi => SolverKind::ProportionalResponse,
-                first_order => first_order,
-            };
+            if solver == SolverKind::Jacobi && solver_flag.is_some() {
+                return Err(err("synth markets are sparse; pick --solver=propresp"));
+            }
             let mut spec = SynthSpec::new(players, resources, seed.unwrap_or(1));
             if leontief {
                 spec.kind = SparseUtilityKind::Leontief;
             }
             let market = spec.generate().map_err(|e| err(e.to_string()))?;
-            let mut opts = EquilibriumOptions::large_scale().with_solver(solver);
+            let mut opts = EquilibriumOptions::large_scale();
             opts.deadline = knobs.deadline;
             if let Some(t) = tol {
                 if !(t.is_finite() && t > 0.0) {
@@ -859,7 +852,7 @@ fn dispatch(args: &[String], notes: &mut Vec<String>) -> Result<String, CliError
             writeln!(out, "resources   {resources}").expect("infallible");
             writeln!(out, "nnz         {}", market.nnz()).expect("infallible");
             writeln!(out, "kind        {}", market.kind().label()).expect("infallible");
-            writeln!(out, "solver      {}", solver.label()).expect("infallible");
+            writeln!(out, "solver      {}", opts.solver.label()).expect("infallible");
             writeln!(out, "iterations  {}", o.iterations).expect("infallible");
             writeln!(
                 out,
@@ -1040,11 +1033,12 @@ fn dispatch(args: &[String], notes: &mut Vec<String>) -> Result<String, CliError
                 .transpose()?
                 .unwrap_or(0);
             // Online re-solves run at a looser tolerance than the batch
-            // pipeline's 1e-6 default: at 1e-4 the warm start converges
-            // in a fraction of the cold iterations (see the server
-            // bench), while at 1e-6 the slow geometric tail dominates
-            // both arms and the advantage vanishes. (`--tol` itself is
-            // a global flag, extracted with the other solver knobs.)
+            // pipeline's 1e-6 default, so each tick stays cheap. Whether
+            // the warm start pays at this tolerance is still open: it
+            // beats cold under budget-only churn but loses on the
+            // daemon's own arrive/depart workload (ROADMAP item 2).
+            // (`--tol` itself is a global flag, extracted with the other
+            // solver knobs.)
             let tol = tol.unwrap_or(1e-4);
             if !tol.is_finite() || tol <= 0.0 {
                 return Err(err("--tol must be a positive number"));
@@ -1207,10 +1201,10 @@ mod tests {
         assert!(out.contains("converged   yes"), "{out}");
         // Deterministic stdout: same args, same bytes.
         assert_eq!(out, run_ok(&["synth", "1000", "16", "--seed=3"]));
-        // Mirror and Leontief variants run through the same plumbing.
-        let md = run_ok(&["synth", "500", "8", "--solver=mirror", "--leontief"]);
-        assert!(md.contains("solver      mirror"), "{md}");
-        assert!(md.contains("kind        leontief"), "{md}");
+        // The Leontief variant runs through the same plumbing.
+        let leon = run_ok(&["synth", "500", "8", "--solver=propresp", "--leontief"]);
+        assert!(leon.contains("solver      propresp"), "{leon}");
+        assert!(leon.contains("kind        leontief"), "{leon}");
     }
 
     #[test]
@@ -1221,9 +1215,11 @@ mod tests {
         assert!(run_err(&["synth", "100", "8", "--solver=jacobi"])
             .message
             .contains("sparse"));
-        assert!(run_err(&["synth", "100", "8", "--solver=magic"])
-            .message
-            .contains("unknown solver"));
+        for name in ["magic", "mirror"] {
+            assert!(run_err(&["synth", "100", "8", &format!("--solver={name}")])
+                .message
+                .contains("unknown solver"));
+        }
         assert!(run_err(&["synth", "100", "8", "--tol=-1"])
             .message
             .contains("--tol"));

@@ -770,7 +770,7 @@ mod tests {
         assert!(jac.worst_residual.is_finite());
         // Multi-round ReBudget tracks the max over every round's solve.
         let rb = ReBudget::with_step(100.0, 40.0)
-            .with_solver(SolverKind::MirrorDescent)
+            .with_solver(SolverKind::ProportionalResponse)
             .allocate(&market)
             .unwrap();
         assert!(rb.equilibrium_rounds >= 1);

@@ -6,8 +6,9 @@
 //! with [`crate::SolveReport::timed_out`] set instead of spinning when the
 //! budget is exhausted.
 //!
-//! On top of that sits [`solve_with_retry`], a *bounded* retry ladder with
-//! exponential back-off on the per-attempt budget:
+//! On top of that sits a *bounded* retry ladder with exponential back-off
+//! on the per-attempt budget — [`solve_with_retry`] for dense markets,
+//! [`solve_sparse_with_retry`] for sparse ones, one ladder behind both:
 //!
 //! 1. the solve as configured;
 //! 2. a **tightened** attempt — finer bidding steps and a tighter λ
@@ -33,7 +34,7 @@ use std::time::{Duration, Instant};
 
 use rebudget_telemetry as telemetry;
 
-use crate::equilibrium::{EquilibriumOptions, EquilibriumOutcome};
+use crate::equilibrium::{EquilibriumOptions, EquilibriumOutcome, SolveReport};
 use crate::sparse::{SparseMarket, SparseOutcome};
 use crate::{Market, MarketError, Result};
 
@@ -223,10 +224,8 @@ impl RetryPolicy {
     /// The options for 0-based attempt `k` of the ladder: attempt 0 runs
     /// `base` unchanged, attempt 1 tightens the bidding tolerances, and
     /// attempts ≥ 2 relax the price tolerance geometrically; every rung's
-    /// deadline is scaled by `backoff^k`. Public so callers that drive
-    /// their own solve loop (e.g. the online server's per-tick sparse
-    /// solves) reuse the exact ladder semantics of [`solve_with_retry`].
-    pub fn options_for_attempt(&self, base: &EquilibriumOptions, k: usize) -> EquilibriumOptions {
+    /// deadline is scaled by `backoff^k`.
+    fn options_for_attempt(&self, base: &EquilibriumOptions, k: usize) -> EquilibriumOptions {
         let mut opts = base.clone();
         opts.deadline = base.deadline.scaled(self.backoff.max(1.0).powi(k as i32));
         match k {
@@ -284,57 +283,17 @@ pub fn solve_with_retry(
     options: &EquilibriumOptions,
     policy: &RetryPolicy,
 ) -> Result<(EquilibriumOutcome, RetryReport)> {
-    let attempts = policy.max_attempts.max(1);
-    let mut report = RetryReport::default();
-    let mut best: Option<EquilibriumOutcome> = None;
-    for k in 0..attempts {
-        let opts = policy.options_for_attempt(options, k);
-        let out = market.equilibrium_with_budgets(budgets, &opts)?;
-        report.attempts = (k + 1) as u64;
-        if out.report.timed_out {
-            report.timed_out_attempts += 1;
-        }
-        let done = out.converged() && !out.report.timed_out;
-        if telemetry::enabled() {
-            telemetry::record(
-                telemetry::Event::new("retry_attempt")
-                    .field_u64("attempt", report.attempts)
-                    .field_bool("converged", out.converged())
-                    .field_bool("timed_out", out.report.timed_out)
-                    .field_f64("residual", out.report.residual),
-            );
-            if k > 0 {
-                telemetry::global()
-                    .registry
-                    .counter("solver.retries")
-                    .incr();
-            }
-        }
-        let better = match &best {
-            None => true,
-            Some(b) => out.report.residual < b.report.residual,
-        };
-        if better {
-            best = Some(out);
-        }
-        if done {
-            break;
-        }
-    }
-    #[allow(clippy::expect_used)] // attempts >= 1, so a solve always ran
-    let outcome = best.expect("at least one attempt");
-    report.converged = outcome.converged();
-    Ok((outcome, report))
+    retry_ladder(
+        options,
+        policy,
+        |opts| market.equilibrium_with_budgets(budgets, opts),
+        |out| &out.report,
+    )
 }
 
-/// The retry ladder of [`solve_with_retry`] for sparse markets: identical
-/// rung semantics (same [`RetryPolicy::options_for_attempt`] options per
-/// attempt), driving [`SparseMarket::solve`] instead of the dense engine.
-///
-/// Returns the first converged, in-budget outcome; if every rung fails,
-/// the lowest-residual outcome seen is returned best-effort with the
-/// [`RetryReport`] describing the ladder. The caller owns any further
-/// fallback (the online server degrades to `EqualShare`).
+/// The retry ladder of [`solve_with_retry`] for sparse markets, driving
+/// [`SparseMarket::solve`] instead of the dense engine. The caller owns
+/// any further fallback (the online server degrades to `EqualShare`).
 ///
 /// # Errors
 ///
@@ -346,24 +305,41 @@ pub fn solve_sparse_with_retry(
     options: &EquilibriumOptions,
     policy: &RetryPolicy,
 ) -> Result<(SparseOutcome, RetryReport)> {
+    retry_ladder(
+        options,
+        policy,
+        |opts| market.solve(opts),
+        |out| &out.report,
+    )
+}
+
+/// The ladder behind both public entry points: runs `solve` under each
+/// rung's options until one converges within its deadline, keeping the
+/// lowest-residual outcome (by `report_of`) as the best-effort fallback.
+fn retry_ladder<T>(
+    options: &EquilibriumOptions,
+    policy: &RetryPolicy,
+    mut solve: impl FnMut(&EquilibriumOptions) -> Result<T>,
+    report_of: impl Fn(&T) -> &SolveReport,
+) -> Result<(T, RetryReport)> {
     let attempts = policy.max_attempts.max(1);
     let mut report = RetryReport::default();
-    let mut best: Option<SparseOutcome> = None;
+    let mut best: Option<T> = None;
     for k in 0..attempts {
-        let opts = policy.options_for_attempt(options, k);
-        let out = market.solve(&opts)?;
+        let out = solve(&policy.options_for_attempt(options, k))?;
+        let solved = report_of(&out);
         report.attempts = (k + 1) as u64;
-        if out.report.timed_out {
+        if solved.timed_out {
             report.timed_out_attempts += 1;
         }
-        let done = out.converged() && !out.report.timed_out;
+        let done = solved.converged && !solved.timed_out;
         if telemetry::enabled() {
             telemetry::record(
                 telemetry::Event::new("retry_attempt")
                     .field_u64("attempt", report.attempts)
-                    .field_bool("converged", out.converged())
-                    .field_bool("timed_out", out.report.timed_out)
-                    .field_f64("residual", out.report.residual),
+                    .field_bool("converged", solved.converged)
+                    .field_bool("timed_out", solved.timed_out)
+                    .field_f64("residual", solved.residual),
             );
             if k > 0 {
                 telemetry::global()
@@ -374,7 +350,7 @@ pub fn solve_sparse_with_retry(
         }
         let better = match &best {
             None => true,
-            Some(b) => out.report.residual < b.report.residual,
+            Some(b) => solved.residual < report_of(b).residual,
         };
         if better {
             best = Some(out);
@@ -385,7 +361,7 @@ pub fn solve_sparse_with_retry(
     }
     #[allow(clippy::expect_used)] // attempts >= 1, so a solve always ran
     let outcome = best.expect("at least one attempt");
-    report.converged = outcome.converged();
+    report.converged = report_of(&outcome).converged;
     Ok((outcome, report))
 }
 
@@ -565,6 +541,41 @@ mod tests {
         assert!(out
             .allocation
             .is_exhaustive(m.resources().capacities(), 1e-9));
+
+        // The sparse ladder: an iteration-capped first rung escalates
+        // (2, 4, 8 iterations under back-off 2) without reaching the
+        // tolerance, and the lowest-residual rung's outcome comes back.
+        let sparse = crate::SynthSpec::new(300, 8, 4).generate().unwrap();
+        let mut opts = EquilibriumOptions::large_scale();
+        opts.deadline = DeadlineBudget::iterations(2).unwrap();
+        let policy = RetryPolicy {
+            max_attempts: 3,
+            backoff: 2.0,
+            ..RetryPolicy::default()
+        };
+        let (out, report) = solve_sparse_with_retry(&sparse, &opts, &policy).unwrap();
+        assert_eq!(report.attempts, 3);
+        assert_eq!(report.timed_out_attempts, 3);
+        assert!(!report.converged);
+        let rungs: Vec<SparseOutcome> = (0..3)
+            .map(|k| sparse.solve(&policy.options_for_attempt(&opts, k)).unwrap())
+            .collect();
+        assert_eq!(
+            rungs.iter().map(|r| r.iterations).collect::<Vec<_>>(),
+            [2, 4, 8]
+        );
+        let best = rungs
+            .iter()
+            .reduce(|a, b| {
+                if b.report.residual < a.report.residual {
+                    b
+                } else {
+                    a
+                }
+            })
+            .unwrap();
+        assert_eq!(out.report, best.report);
+        assert_eq!(out.bids, best.bids);
     }
 
     #[test]

@@ -69,10 +69,7 @@ pub(crate) const MAX_RESTARTS: usize = 2;
 ///   dynamics on the Eisenberg–Gale program: players are *price takers*.
 ///   Linear-time in the number of nonzero (player, resource) interests;
 ///   converges at `10⁵`–`10⁶` players (see
-///   [`crate::proportional_response`]).
-/// * [`SolverKind::MirrorDescent`] — entropic mirror descent on the same
-///   program: a damped generalization of proportional response with a
-///   tunable step (see [`crate::mirror_descent`]).
+///   [`crate::SparseMarket::solve`]).
 ///
 /// The price-anticipating and price-taking equilibria coincide as
 /// `N → ∞` (each player's bid stops moving prices) but differ at small
@@ -86,17 +83,14 @@ pub enum SolverKind {
     Jacobi,
     /// First-order proportional response dynamics (price-taking).
     ProportionalResponse,
-    /// First-order entropic mirror descent (price-taking, damped step).
-    MirrorDescent,
 }
 
 impl SolverKind {
-    /// Parses the CLI spelling (`jacobi` | `propresp` | `mirror`).
+    /// Parses the CLI spelling (`jacobi` | `propresp`).
     pub fn parse(s: &str) -> Option<Self> {
         match s.to_ascii_lowercase().as_str() {
             "jacobi" => Some(SolverKind::Jacobi),
             "propresp" => Some(SolverKind::ProportionalResponse),
-            "mirror" => Some(SolverKind::MirrorDescent),
             _ => None,
         }
     }
@@ -106,7 +100,6 @@ impl SolverKind {
         match self {
             SolverKind::Jacobi => "jacobi",
             SolverKind::ProportionalResponse => "propresp",
-            SolverKind::MirrorDescent => "mirror",
         }
     }
 }
@@ -114,12 +107,15 @@ impl SolverKind {
 /// A bid seed carried from a previous solve, so an online re-solve starts
 /// from the last quantum's equilibrium instead of from scratch.
 ///
-/// The layout matches the engine that consumes it:
+/// Only two engines read the seed, each in its own layout:
 ///
-/// * dense engines (Jacobi and the dense first-order reference) expect a
-///   row-major `n × m` matrix — [`WarmStart::from_outcome`];
-/// * the sparse engines expect the CSR value array of the market's
+/// * Jacobi expects a row-major `n × m` matrix —
+///   [`WarmStart::from_outcome`];
+/// * the sparse engine expects the CSR value array of the market's
 ///   interest pattern, `nnz` entries — [`WarmStart::from_sparse`].
+///
+/// The dense first-order reference ([`crate::fisher`]) ignores the seed
+/// and always starts cold.
 ///
 /// Warm starting is **best effort and row-local**: a seed whose length
 /// does not match the market is ignored wholesale, and any individual row
@@ -128,7 +124,7 @@ impl SolverKind {
 /// only. Usable rows are rescaled to the player's *current* budget, so a
 /// budget change between quanta keeps the seed feasible.
 ///
-/// The multiplicative first-order engines additionally **lift** exact-zero
+/// The sparse multiplicative engine additionally **lifts** exact-zero
 /// seed entries to a tiny positive fraction of the budget before seeding:
 /// a converged multiplicative run underflows unattractive bids to exact
 /// `0.0`, and a zero bid can never revive under the multiplicative step —
@@ -168,8 +164,8 @@ impl WarmStart {
 
 /// Validates one warm row: every entry finite and ≥ the floor, with a
 /// strictly positive finite sum. `floor` is `0.0` everywhere today:
-/// Jacobi tolerates zero bids outright, and the multiplicative engines
-/// lift zeros via [`warm_overlay_multiplicative`] instead of rejecting
+/// Jacobi tolerates zero bids outright, and the sparse multiplicative
+/// engine lifts zeros via [`warm_overlay_multiplicative`] instead of rejecting
 /// the row.
 pub(crate) fn warm_row_usable(row: &[f64], floor: f64) -> bool {
     let mut sum = 0.0;
@@ -489,6 +485,45 @@ pub(crate) fn push_recovery(recovery: &mut Vec<RecoveryAction>, action: Recovery
     recovery.push(action);
 }
 
+/// Emits the `solve_start` event. Every engine (Jacobi, the dense
+/// first-order reference, the sparse engine) opens its solve with it.
+pub(crate) fn emit_solve_start(players: usize, resources: usize) {
+    if telemetry::enabled() {
+        telemetry::record(
+            telemetry::Event::new("solve_start")
+                .field_u64("players", players as u64)
+                .field_u64("resources", resources as u64),
+        );
+    }
+}
+
+/// Emits the `solve_end` event and updates the `solver.*` metrics. Every
+/// engine closes its solve with it.
+pub(crate) fn emit_solve_end(report: &SolveReport) {
+    if telemetry::enabled() {
+        telemetry::record(
+            telemetry::Event::new("solve_end")
+                .field_u64("iterations", report.iterations)
+                .field_bool("converged", report.converged)
+                .field_f64("residual", report.residual)
+                .field_bool("timed_out", report.timed_out),
+        );
+        let registry = &telemetry::global().registry;
+        registry.counter("solver.solves").incr();
+        registry.counter("solver.iterations").add(report.iterations);
+        registry
+            .counter("solver.recoveries")
+            .add(report.recovery.len() as u64);
+        if report.timed_out {
+            registry.counter("solver.timeouts").incr();
+        }
+        registry
+            .histogram("solver.iterations_per_solve")
+            .record(report.iterations);
+        registry.gauge("solver.last_residual").set(report.residual);
+    }
+}
+
 /// Entry point shared by [`crate::Market::equilibrium`] and friends:
 /// dispatches on [`EquilibriumOptions::solver`].
 pub(crate) fn find_equilibrium(
@@ -513,13 +548,7 @@ fn find_equilibrium_jacobi(
     let capacities = market.resources().capacities();
 
     let _solve_span = telemetry::span!("solve");
-    if telemetry::enabled() {
-        telemetry::record(
-            telemetry::Event::new("solve_start")
-                .field_u64("players", n as u64)
-                .field_u64("resources", m as u64),
-        );
-    }
+    emit_solve_start(n, m);
 
     let mut bids = BidMatrix::equal_split(budgets, m)?;
     // Warm start: overlay usable seed rows over the equal-split baseline,
@@ -746,28 +775,7 @@ fn find_equilibrium_jacobi(
         recovery,
         timed_out,
     };
-    if telemetry::enabled() {
-        telemetry::record(
-            telemetry::Event::new("solve_end")
-                .field_u64("iterations", iterations)
-                .field_bool("converged", converged)
-                .field_f64("residual", residual)
-                .field_bool("timed_out", timed_out),
-        );
-        let registry = &telemetry::global().registry;
-        registry.counter("solver.solves").incr();
-        registry.counter("solver.iterations").add(iterations);
-        registry
-            .counter("solver.recoveries")
-            .add(report.recovery.len() as u64);
-        if timed_out {
-            registry.counter("solver.timeouts").incr();
-        }
-        registry
-            .histogram("solver.iterations_per_solve")
-            .record(iterations);
-        registry.gauge("solver.last_residual").set(residual);
-    }
+    emit_solve_end(&report);
     Ok(EquilibriumOutcome {
         bids,
         prices,

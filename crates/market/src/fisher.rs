@@ -1,12 +1,11 @@
 //! Dense first-order reference: the price-taking (Fisher) equilibrium on
 //! dense storage.
 //!
-//! This is the same multiplicative dynamics as
-//! [`crate::proportional_response`]/[`crate::mirror_descent`], run over a
-//! dense bid matrix against the crate's full [`crate::Utility`] zoo: each
-//! player re-spends its budget in proportion to
-//! `b_ij · (∂U_i/∂x_ij · C_j / p̂_j)^γ` — bang-per-buck-weighted bids —
-//! whose fixed point equalizes marginal utility per unit money across
+//! This is the same proportional response dynamics as the sparse engine
+//! behind [`crate::SparseMarket::solve`], run over a dense bid matrix
+//! against the crate's full [`crate::Utility`] zoo: each player re-spends
+//! its budget in proportion to `b_ij · ∂U_i/∂x_ij · C_j / p̂_j` —
+//! bang-per-buck-weighted bids — whose fixed point equalizes marginal utility per unit money across
 //! each player's support, the Fisher-market first-order condition.
 //!
 //! # Why it exists
@@ -18,15 +17,17 @@
 //! differ at small `N`, so tight cross-validation of the sparse solvers
 //! needs a dense engine that answers the *same* question — this module.
 //! It is wired into [`crate::equilibrium::SolverKind`] dispatch, so
-//! `Market::equilibrium` with `ProportionalResponse`/`MirrorDescent`
-//! runs here and flows through the identical
-//! `SolveReport`/deadline/telemetry plumbing as Jacobi (via
-//! [`crate::first_order::drive`]).
+//! `Market::equilibrium` with `ProportionalResponse` runs here and flows
+//! through the identical `SolveReport`/deadline/telemetry plumbing as
+//! Jacobi (via the shared first-order outer loop). It always starts cold
+//! from the equal split: [`crate::WarmStart`] seeds are read only by
+//! Jacobi and the sparse engine.
 
 use rebudget_telemetry as telemetry;
 
 use crate::equilibrium::{
-    push_recovery, EquilibriumOptions, EquilibriumOutcome, RecoveryAction, SolverKind,
+    emit_solve_end, emit_solve_start, push_recovery, EquilibriumOptions, EquilibriumOutcome,
+    RecoveryAction, SolverKind,
 };
 use crate::par;
 use crate::pricing;
@@ -40,24 +41,20 @@ pub(crate) fn find_equilibrium_first_order(
     options: &EquilibriumOptions,
     kind: SolverKind,
 ) -> Result<EquilibriumOutcome> {
-    let gamma = match kind {
-        SolverKind::ProportionalResponse => 1.0,
-        SolverKind::MirrorDescent => crate::mirror_descent::DEFAULT_STEP,
-        SolverKind::Jacobi => {
-            // `find_equilibrium` routes Jacobi to its own engine; reaching
-            // here means a caller bypassed the dispatch.
-            return Err(MarketError::UnsupportedSolver {
-                solver: SolverKind::Jacobi.label(),
-                context: "the dense first-order reference",
-            });
-        }
-    };
+    if kind == SolverKind::Jacobi {
+        // `find_equilibrium` routes Jacobi to its own engine; reaching
+        // here means a caller bypassed the dispatch.
+        return Err(MarketError::UnsupportedSolver {
+            solver: SolverKind::Jacobi.label(),
+            context: "the dense first-order reference",
+        });
+    }
     let n = market.len();
     let m = market.resources().len();
     let capacities = market.resources().capacities();
 
     let _solve_span = telemetry::span!("solve");
-    crate::first_order::emit_solve_start(n, m);
+    emit_solve_start(n, m);
 
     // Row layout: m bids plus one sanitize-flag slot, so the parallel
     // sweep can report a poisoned row without shared mutable state.
@@ -66,21 +63,6 @@ pub(crate) fn find_equilibrium_first_order(
     for (i, row) in vals.chunks_exact_mut(stride).enumerate() {
         if m > 0 && budgets[i] > 0.0 {
             row[..m].fill(budgets[i] / m as f64);
-        }
-    }
-    // Warm start: overlay usable seed rows, rescaled to the current
-    // budget. Exact-zero seed entries are lifted to a tiny positive
-    // floor (the multiplicative step can never revive a zero bid);
-    // unusable rows keep the cold equal-split row.
-    if let Some(warm) = options.warm_start.as_deref() {
-        if warm.bids.len() == n * m {
-            for (i, row) in vals.chunks_exact_mut(stride).enumerate() {
-                crate::equilibrium::warm_overlay_multiplicative(
-                    &mut row[..m],
-                    &warm.bids[i * m..(i + 1) * m],
-                    budgets[i],
-                );
-            }
         }
     }
     let mut init_money = vec![0.0; m];
@@ -120,11 +102,7 @@ pub(crate) fn find_equilibrium_first_order(
                         } else {
                             0.0
                         };
-                        w[j] = if gamma == 1.0 {
-                            row[j] * q
-                        } else {
-                            row[j] * q.powf(gamma)
-                        };
+                        w[j] = row[j] * q;
                         w_sum += w[j];
                     }
                     if !w_sum.is_finite() {
@@ -215,7 +193,7 @@ pub(crate) fn find_equilibrium_first_order(
         }
     }
 
-    crate::first_order::emit_solve_end(&run.report);
+    emit_solve_end(&run.report);
     Ok(EquilibriumOutcome {
         bids,
         prices,
@@ -281,21 +259,6 @@ mod tests {
         // λ = best bang-per-buck at p = (1, 1): 3 for player a, 2 for b.
         assert!((out.lambdas[0] - 3.0).abs() < 1e-5, "{:?}", out.lambdas);
         assert!((out.lambdas[1] - 2.0).abs() < 1e-5, "{:?}", out.lambdas);
-    }
-
-    #[test]
-    fn mirror_kind_reaches_the_same_equilibrium() {
-        let market = linear_two_player();
-        let pr = market
-            .equilibrium(&tight(SolverKind::ProportionalResponse))
-            .unwrap();
-        let md = market
-            .equilibrium(&tight(SolverKind::MirrorDescent))
-            .unwrap();
-        assert!(md.converged());
-        for (a, b) in pr.prices.iter().zip(&md.prices) {
-            assert!((a - b).abs() < 1e-6, "{a} vs {b}");
-        }
     }
 
     #[test]

@@ -20,8 +20,8 @@
 //!
 //! Centralizing the fold here guarantees the number in
 //! [`crate::SolveReport::residual`] means the same thing for the dense
-//! Jacobi engine, the sparse proportional-response solver, the sparse
-//! mirror-descent solver, and the dense first-order reference — a residual
+//! Jacobi engine, the sparse proportional-response solver, and the dense
+//! first-order reference — a residual
 //! of `1e-6` is `1e-6` regardless of which solver produced it (asserted by
 //! the `first_order` integration suite's regression test).
 

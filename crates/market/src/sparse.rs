@@ -5,9 +5,8 @@
 //! `10⁵`–`10⁶` players over tens of resources, most players care about a
 //! handful of goods. [`SparseBids`] stores only the nonzero
 //! (player, resource) interests in CSR form (row pointers + column
-//! indices + values, structure-of-arrays), so the first-order solvers in
-//! [`crate::proportional_response`] and [`crate::mirror_descent`] run in
-//! time linear in the number of interests per iteration instead of
+//! indices + values, structure-of-arrays), so the proportional-response
+//! solver behind [`SparseMarket::solve`] runs in time linear in the number of interests per iteration instead of
 //! `O(N·M)`.
 //!
 //! [`SparseMarket`] bundles the interest matrix with capacities, budgets,
@@ -322,8 +321,12 @@ impl SparseMarket {
         self.kind
     }
 
-    /// Solves for the market equilibrium with the engine selected by
-    /// [`EquilibriumOptions::solver`].
+    /// Solves for the market's price-taking equilibrium with proportional
+    /// response dynamics ([`SolverKind::ProportionalResponse`], the only
+    /// sparse engine).
+    ///
+    /// Honors [`EquilibriumOptions::max_iterations`], `price_tolerance`,
+    /// `record_history`, `parallel`, `deadline` and `warm_start`.
     ///
     /// # Errors
     ///
@@ -335,10 +338,9 @@ impl SparseMarket {
         match options.solver {
             SolverKind::Jacobi => Err(MarketError::UnsupportedSolver {
                 solver: SolverKind::Jacobi.label(),
-                context: "sparse markets (use propresp or mirror, or densify first)",
+                context: "sparse markets (use propresp, or densify first)",
             }),
-            SolverKind::ProportionalResponse => crate::proportional_response::solve(self, options),
-            SolverKind::MirrorDescent => crate::mirror_descent::solve(self, options),
+            SolverKind::ProportionalResponse => crate::first_order::solve_sparse(self, options),
         }
     }
 

@@ -50,8 +50,9 @@ pub struct ServerConfig {
     /// Per-resource capacities (fixes the resource count `M`).
     pub capacities: Vec<f64>,
     /// Equilibrium engine for the per-tick solves. `Jacobi` densifies
-    /// the sparse player table each tick (small markets only); the
-    /// first-order engines solve it sparse.
+    /// the sparse player table each tick (small markets only);
+    /// proportional response solves it sparse. Must equal
+    /// `options.solver` ([`ServerConfig::validate`] checks).
     pub solver: SolverKind,
     /// Base solve options; the per-tick warm start is installed on top.
     pub options: EquilibriumOptions,
@@ -79,7 +80,9 @@ impl ServerConfig {
     /// # Errors
     ///
     /// [`ServerError::Config`] for an empty or non-positive capacity
-    /// vector or a zero `fallback_after`.
+    /// vector, a zero `fallback_after`, or a `solver` that disagrees with
+    /// `options.solver` (the tick would run one engine and label the
+    /// ledger with the other, or fail every solve).
     pub fn validate(&self) -> ServerResult<()> {
         if self.capacities.is_empty() {
             return Err(ServerError::Config {
@@ -94,6 +97,15 @@ impl ServerConfig {
         if self.fallback_after == 0 {
             return Err(ServerError::Config {
                 reason: "fallback-after must be at least 1 tick".into(),
+            });
+        }
+        if self.solver != self.options.solver {
+            return Err(ServerError::Config {
+                reason: format!(
+                    "solver {} disagrees with the solve options' solver {}",
+                    self.solver.label(),
+                    self.options.solver.label()
+                ),
             });
         }
         Ok(())
@@ -867,11 +879,15 @@ mod tests {
     use crate::workload::WorkloadSpec;
     use rebudget_market::equilibrium::EquilibriumOptions;
 
+    /// A config whose options are built the way `rebudget serve` builds
+    /// them: the large-scale defaults with `solver` at tolerance 1e-4.
     fn config(solver: SolverKind) -> ServerConfig {
+        let mut options = EquilibriumOptions::large_scale().with_solver(solver);
+        options.price_tolerance = 1e-4;
         ServerConfig {
             capacities: vec![8.0; 6],
             solver,
-            options: EquilibriumOptions::large_scale(),
+            options,
             retry: RetryPolicy::default(),
             fallback_after: 2,
             seed: 11,
@@ -913,7 +929,6 @@ mod tests {
     fn resume_between_ticks_is_byte_identical() {
         for (solver, tag) in [
             (SolverKind::ProportionalResponse, "resume-pr"),
-            (SolverKind::MirrorDescent, "resume-md"),
             (SolverKind::Jacobi, "resume-jacobi"),
         ] {
             let reference = reference_ledger(solver, &format!("{tag}-ref"), 8);
@@ -1227,5 +1242,15 @@ mod tests {
         let mut cfg = config(SolverKind::ProportionalResponse);
         cfg.fallback_after = 0;
         assert!(matches!(cfg.validate(), Err(ServerError::Config { .. })));
+        // The engine label and the engine that runs must agree, both ways.
+        for (solver, options_solver) in [
+            (SolverKind::ProportionalResponse, SolverKind::Jacobi),
+            (SolverKind::Jacobi, SolverKind::ProportionalResponse),
+        ] {
+            let mut cfg = config(solver);
+            cfg.options.solver = options_solver;
+            assert!(matches!(cfg.validate(), Err(ServerError::Config { .. })));
+        }
+        assert!(config(SolverKind::Jacobi).validate().is_ok());
     }
 }

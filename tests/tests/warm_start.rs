@@ -1,4 +1,4 @@
-//! Warm-start determinism and efficiency across every solver engine.
+//! Warm-start determinism and efficiency for the engines that read a seed.
 //!
 //! The online server re-solves the market every tick, seeding each solve
 //! with the previous quantum's bids ([`rebudget_market::WarmStart`]).
@@ -7,25 +7,26 @@
 //! same market, and (2) stays perfectly deterministic — a warm-started
 //! solve repeated with the same seed must be bit-identical, or the
 //! daemon's kill-safe replay guarantee collapses. Both properties are
-//! pinned here for each [`SolverKind`], including the dense first-order
-//! reference (the dense `Market` path with a first-order solver).
+//! pinned here for the two engines that read a [`WarmStart`]: the sparse
+//! proportional-response engine and dense Jacobi. (The dense first-order
+//! reference always starts cold.)
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rebudget_market::equilibrium::{EquilibriumOptions, WarmStart};
-use rebudget_market::{SolverKind, SparseBids, SparseMarket, SparseUtilityKind, SynthSpec};
+use rebudget_market::{SparseBids, SparseMarket, SparseUtilityKind, SynthSpec};
 
 /// Seeded markets in the property sweep (the issue's acceptance bar).
 const CASES: u64 = 50;
 
-fn sparse_opts(solver: SolverKind) -> EquilibriumOptions {
-    let mut opts = EquilibriumOptions::large_scale().with_solver(solver);
+fn sparse_opts() -> EquilibriumOptions {
+    let mut opts = EquilibriumOptions::large_scale();
     opts.price_tolerance = 1e-5;
     opts
 }
 
 /// Warm ≤ cold iterations and bit-identical warm repeats, across 50
-/// seeded synthetic markets for each sparse first-order solver. The
+/// seeded synthetic markets for the sparse first-order solver. The
 /// previous outcome's bids contain exact zeros (underflow at
 /// convergence); the warm overlay must lift them rather than silently
 /// cold-starting those rows, so the warm solve lands in a handful of
@@ -37,29 +38,26 @@ fn sparse_warm_start_property_sweep() {
         let market = SynthSpec::new(players, 16, 0xAB0 + case)
             .generate()
             .expect("synth market");
-        for solver in [SolverKind::ProportionalResponse, SolverKind::MirrorDescent] {
-            let opts = sparse_opts(solver);
-            let cold = market.solve(&opts).expect("cold solves");
-            assert!(cold.converged(), "case {case}: {} cold", solver.label());
+        let opts = sparse_opts();
+        let cold = market.solve(&opts).expect("cold solves");
+        assert!(cold.converged(), "case {case}: cold");
 
-            let warm_opts = opts
-                .clone()
-                .with_warm_start(WarmStart::from_sparse(&cold).shared());
-            let warm = market.solve(&warm_opts).expect("warm solves");
-            assert!(warm.converged(), "case {case}: {} warm", solver.label());
-            assert!(
-                warm.iterations <= cold.iterations,
-                "case {case}: {} warm {} > cold {}",
-                solver.label(),
-                warm.iterations,
-                cold.iterations
-            );
+        let warm_opts = opts
+            .clone()
+            .with_warm_start(WarmStart::from_sparse(&cold).shared());
+        let warm = market.solve(&warm_opts).expect("warm solves");
+        assert!(warm.converged(), "case {case}: warm");
+        assert!(
+            warm.iterations <= cold.iterations,
+            "case {case}: warm {} > cold {}",
+            warm.iterations,
+            cold.iterations
+        );
 
-            let again = market.solve(&warm_opts).expect("warm repeat solves");
-            assert_eq!(warm.prices, again.prices, "case {case}: {}", solver.label());
-            assert_eq!(warm.bids, again.bids, "case {case}: {}", solver.label());
-            assert_eq!(warm.iterations, again.iterations);
-        }
+        let again = market.solve(&warm_opts).expect("warm repeat solves");
+        assert_eq!(warm.prices, again.prices, "case {case}");
+        assert_eq!(warm.bids, again.bids, "case {case}");
+        assert_eq!(warm.iterations, again.iterations);
     }
 }
 
@@ -108,8 +106,7 @@ fn sparse_warm_start_survives_budget_churn() {
 }
 
 /// A random dense-representable sparse market (every player interested
-/// in every good, so Jacobi and the dense first-order reference both
-/// apply after densification).
+/// in every good, so Jacobi applies after densification).
 fn random_full_market(rng: &mut StdRng) -> SparseMarket {
     let n: usize = rng.random_range(4..=10);
     let m: usize = rng.random_range(2..=4);
@@ -123,17 +120,9 @@ fn random_full_market(rng: &mut StdRng) -> SparseMarket {
         .expect("market valid")
 }
 
-/// Warm ≤ cold iterations and bit-identical warm repeats for the dense
-/// engines, seeded through [`WarmStart::from_outcome`].
-///
-/// The iteration inequality is asserted for Jacobi (the solver the
-/// daemon actually warm-starts on dense markets). The dense first-order
-/// reference is held to convergence and bitwise determinism only: its
-/// outer loop does not carry the adaptive damping state across solves,
-/// so on a small oscillatory market a warm restart at full damping can
-/// legitimately spend more iterations re-finding the stable step than
-/// the cold run did — the sparse sweep above covers the first-order
-/// warm ≤ cold property on the markets the server serves.
+/// Warm ≤ cold iterations and bit-identical warm repeats for Jacobi (the
+/// solver the daemon warm-starts on dense markets), seeded through
+/// [`WarmStart::from_outcome`].
 #[test]
 fn dense_warm_start_is_deterministic_and_no_slower() {
     for case in 0..12u64 {
@@ -141,41 +130,24 @@ fn dense_warm_start_is_deterministic_and_no_slower() {
         let dense = random_full_market(&mut rng)
             .to_market()
             .expect("linear markets densify");
-        for solver in [
-            SolverKind::Jacobi,
-            SolverKind::ProportionalResponse,
-            SolverKind::MirrorDescent,
-        ] {
-            let mut opts = EquilibriumOptions::default().with_solver(solver);
-            if solver != SolverKind::Jacobi {
-                opts.max_iterations = 200_000;
-                opts.price_tolerance = 1e-6;
-            }
-            let cold = dense.equilibrium(&opts).expect("cold solves");
-            assert!(cold.converged(), "case {case}: {} cold", solver.label());
+        let opts = EquilibriumOptions::default();
+        let cold = dense.equilibrium(&opts).expect("cold solves");
+        assert!(cold.converged(), "case {case}: cold");
 
-            let warm_opts = opts
-                .clone()
-                .with_warm_start(WarmStart::from_outcome(&cold).shared());
-            let warm = dense.equilibrium(&warm_opts).expect("warm solves");
-            assert!(warm.converged(), "case {case}: {} warm", solver.label());
-            if solver == SolverKind::Jacobi {
-                assert!(
-                    warm.iterations <= cold.iterations,
-                    "case {case}: jacobi warm {} > cold {}",
-                    warm.iterations,
-                    cold.iterations
-                );
-            }
+        let warm_opts = opts
+            .clone()
+            .with_warm_start(WarmStart::from_outcome(&cold).shared());
+        let warm = dense.equilibrium(&warm_opts).expect("warm solves");
+        assert!(warm.converged(), "case {case}: warm");
+        assert!(
+            warm.iterations <= cold.iterations,
+            "case {case}: warm {} > cold {}",
+            warm.iterations,
+            cold.iterations
+        );
 
-            let again = dense.equilibrium(&warm_opts).expect("warm repeat");
-            assert_eq!(warm.prices, again.prices, "case {case}: {}", solver.label());
-            assert_eq!(
-                warm.bids.as_slice(),
-                again.bids.as_slice(),
-                "case {case}: {}",
-                solver.label()
-            );
-        }
+        let again = dense.equilibrium(&warm_opts).expect("warm repeat");
+        assert_eq!(warm.prices, again.prices, "case {case}");
+        assert_eq!(warm.bids.as_slice(), again.bids.as_slice(), "case {case}");
     }
 }
